@@ -436,8 +436,6 @@ mod tests {
                 },
             ],
             bounded: true,
-            max_rows: None,
-            shards: None,
         }
     }
 

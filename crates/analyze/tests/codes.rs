@@ -36,8 +36,6 @@ fn duration_lat(bounded: bool) -> LatIr {
             },
         ],
         bounded,
-        max_rows: None,
-        shards: None,
     }
 }
 
@@ -77,8 +75,6 @@ fn known_good_ruleset_passes_clean() {
                 aging: false,
             }],
             bounded: true,
-            max_rows: None,
-            shards: None,
         },
     ];
     let rules = vec![
@@ -182,49 +178,6 @@ fn e004_cascade_cycle() {
     };
     let diags = Analyzer::check_ruleset(&[duration_lat(true)], &[refill]);
     assert_eq!(codes(&diags), vec![Code::E004]);
-}
-
-#[test]
-fn e005_invalid_shard_count() {
-    let mut zero = duration_lat(false);
-    zero.shards = Some(0);
-    let diags = Analyzer::check_ruleset(&[zero], &[]);
-    assert_eq!(codes(&diags), vec![Code::E005]);
-
-    let mut huge = duration_lat(false);
-    huge.shards = Some(sqlcm_analyze::MAX_LAT_SHARDS + 1);
-    let diags = Analyzer::check_ruleset(&[huge], &[]);
-    assert_eq!(codes(&diags), vec![Code::E005]);
-
-    // An invalid shard count denies registration: the LAT stays unknown.
-    let mut analyzer = Analyzer::new();
-    let mut bad = duration_lat(false);
-    bad.shards = Some(0);
-    analyzer.check_lat(&bad);
-    assert!(analyzer.universe().lat("Duration_LAT").is_none());
-}
-
-#[test]
-fn w202_more_shards_than_row_bound() {
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(8);
-    lat.shards = Some(64);
-    let diags = Analyzer::check_ruleset(&[lat], &[]);
-    assert_eq!(codes(&diags), vec![Code::W202]);
-
-    // A warning does not deny registration.
-    let mut analyzer = Analyzer::new();
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(8);
-    lat.shards = Some(64);
-    analyzer.check_lat(&lat);
-    assert!(analyzer.universe().lat("Duration_LAT").is_some());
-
-    // Shards within the bound stay silent.
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(64);
-    lat.shards = Some(8);
-    assert!(Analyzer::check_ruleset(&[lat], &[]).is_empty());
 }
 
 #[test]

@@ -54,8 +54,6 @@ pub fn lat_ir(spec: &LatSpec) -> LatIr {
             })
             .collect(),
         bounded: spec.max_rows.is_some() || spec.max_bytes.is_some(),
-        max_rows: spec.max_rows,
-        shards: spec.shards,
     }
 }
 
@@ -143,22 +141,12 @@ mod tests {
         let spec = LatSpec::new("L")
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Count, "", "N")
-            .max_rows(10)
-            .shards(4);
+            .max_rows(10);
         let ir = lat_ir(&spec);
         assert!(ir.bounded);
-        assert_eq!(ir.max_rows, Some(10));
-        assert_eq!(ir.shards, Some(4));
         assert_eq!(ir.group_by[0].source.class, "Query");
         assert_eq!(ir.aggregates[0].func, AggFuncIr::Count);
         assert!(!ir.aggregates[0].aging);
-    }
-
-    /// The analyzer's shard ceiling must mirror the runtime's — E005 and the
-    /// runtime `validate()` rejection are supposed to agree exactly.
-    #[test]
-    fn shard_ceiling_in_sync_with_analyzer() {
-        assert_eq!(crate::lat::MAX_LAT_SHARDS, sqlcm_analyze::MAX_LAT_SHARDS);
     }
 
     /// The analyzer's built-in class schemas must stay in sync with the

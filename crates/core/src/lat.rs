@@ -14,42 +14,33 @@
 //! * **persistence**: rows can be written to an ordinary table (plus a timestamp
 //!   column) and re-seeded from one at startup.
 //!
-//! Concurrency: the row map is **sharded** by group-key hash into
-//! [`LatSpec::shards`] independently locked shards (default
-//! [`DEFAULT_LAT_SHARDS`]); each row additionally has its own `Mutex`. Probe
-//! threads folding different groups therefore touch different locks entirely —
-//! mirroring (and extending) the paper's fine-grained latching ("each LAT row
-//! as well as … the hash table are protected through latches"). Operations
-//! that need a cross-shard view keep the paper's single-table semantics:
+//! Concurrency follows the paper's latching: "each LAT row as well as … the
+//! hash table are protected through latches". The table latch is one
+//! `RwLock` over the row map and each row has its own `Mutex`:
 //!
-//! * **eviction** is two-phase — every shard nominates its local minimum under
-//!   the ordering spec, then a coordinator (serialized by a per-LAT eviction
-//!   lock) removes the global victim, so the evicted row is still the
-//!   *globally* least important one (§3.2.4);
-//! * **reset** and **snapshot/iteration** acquire all shard locks in index
-//!   order, presenting one consistent point-in-time view.
+//! * folding into an **existing group** takes the table latch shared plus
+//!   that row's latch, so probes updating different groups run in parallel;
+//! * creating a **new group** takes the table latch exclusively. On a bounded
+//!   LAT the same critical section evicts: it scans every row for the global
+//!   minimum under the ordering spec (§3.2.4) through `Mutex::get_mut`, so no
+//!   row latch is taken under the exclusive guard;
+//! * **reset** and **snapshot/iteration** hold the table latch, presenting
+//!   one consistent point-in-time view.
 //!
 //! The A3 and T3 benches stress this; `ReferenceLat` (see [`crate::lat_ref`])
 //! is a deliberately naive single-lock implementation used as a differential
-//! oracle for the sharded one.
+//! oracle.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
 
 use crate::objects::{ClassName, Object};
-
-/// Default number of row-map shards per LAT (see [`LatSpec::shards`]).
-pub const DEFAULT_LAT_SHARDS: usize = 16;
-
-/// Upper bound on the per-LAT shard count; specs beyond this are rejected.
-pub const MAX_LAT_SHARDS: usize = 4096;
 
 /// Aggregation functions available in LATs (paper §4.3: "in addition to the
 /// standard aggregation functions COUNT, SUM, and AVG, SQLCM also supports …
@@ -124,9 +115,6 @@ pub struct LatSpec {
     pub ordering: Vec<(String, bool)>,
     pub max_rows: Option<usize>,
     pub max_bytes: Option<usize>,
-    /// Number of independently locked row-map shards; `None` means
-    /// [`DEFAULT_LAT_SHARDS`]. Must be in `1..=`[`MAX_LAT_SHARDS`].
-    pub shards: Option<usize>,
 }
 
 impl LatSpec {
@@ -138,7 +126,6 @@ impl LatSpec {
             ordering: Vec::new(),
             max_rows: None,
             max_bytes: None,
-            shards: None,
         }
     }
 
@@ -193,18 +180,6 @@ impl LatSpec {
     pub fn max_bytes(mut self, n: usize) -> LatSpec {
         self.max_bytes = Some(n);
         self
-    }
-
-    /// Override the shard count (default [`DEFAULT_LAT_SHARDS`]). Use 1 to
-    /// recover a single-lock table, more for heavily concurrent probe paths.
-    pub fn shards(mut self, n: usize) -> LatSpec {
-        self.shards = Some(n);
-        self
-    }
-
-    /// The shard count this spec resolves to.
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(DEFAULT_LAT_SHARDS)
     }
 
     /// Output column names: group aliases then aggregate aliases.
@@ -273,14 +248,6 @@ impl LatSpec {
             if g.source.class != self.group_by[0].source.class {
                 return Err(Error::Monitor(format!(
                     "LAT {}: all grouping columns must come from one class",
-                    self.name
-                )));
-            }
-        }
-        if let Some(n) = self.shards {
-            if n == 0 || n > MAX_LAT_SHARDS {
-                return Err(Error::Monitor(format!(
-                    "LAT {}: shard count {n} must be in 1..={MAX_LAT_SHARDS}",
                     self.name
                 )));
             }
@@ -626,55 +593,12 @@ pub struct LatStats {
     pub row_high_water: u64,
 }
 
-/// Point-in-time occupancy and contention numbers of one shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatShardStats {
-    pub rows: usize,
-    /// Shard-lock acquisitions that found the lock held (fast-path `try_*`
-    /// failed and the thread had to block).
-    pub contentions: u64,
-}
+/// The row map: group key → row, each row behind its own latch.
+type RowMap = HashMap<Vec<Value>, Mutex<LatRow>>;
 
-/// One independently locked slice of the row map.
-struct Shard {
-    rows: RwLock<HashMap<Vec<Value>, Arc<Mutex<LatRow>>>>,
-    contentions: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            rows: RwLock::new(HashMap::new()),
-            contentions: AtomicU64::new(0),
-        }
-    }
-
-    /// Read-lock this shard, counting contention.
-    fn read(&self) -> parking_lot::RwLockReadGuard<'_, HashMap<Vec<Value>, Arc<Mutex<LatRow>>>> {
-        match self.rows.try_read() {
-            Some(g) => g,
-            None => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                self.rows.read()
-            }
-        }
-    }
-
-    /// Write-lock this shard, counting contention.
-    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, HashMap<Vec<Value>, Arc<Mutex<LatRow>>>> {
-        match self.rows.try_write() {
-            Some(g) => g,
-            None => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                self.rows.write()
-            }
-        }
-    }
-
-    /// Approximate bytes of this shard's rows (per-shard size accounting).
-    fn memory_bytes(&self) -> usize {
-        self.read().values().map(|r| r.lock().size_bytes()).sum()
-    }
+/// Approximate bytes of the rows in a map the caller holds exclusively.
+fn bytes_of(rows: &mut RowMap) -> usize {
+    rows.values_mut().map(|r| r.get_mut().size_bytes()).sum()
 }
 
 /// A live light-weight aggregation table.
@@ -689,12 +613,10 @@ pub struct Lat {
     group_attr_idx: Vec<usize>,
     /// Pre-resolved positions of each aggregate's source attribute.
     agg_attr_idx: Vec<Option<usize>>,
-    /// Row map, sharded by group-key hash.
-    shards: Box<[Shard]>,
-    /// Serializes size enforcement (and hence new-group inserts on bounded
-    /// LATs): the two-phase evict's coordinator lock. Keeps the occupancy
-    /// invariant `rows ≤ max_rows` visible at every quiescent point.
-    evict_lock: Mutex<()>,
+    /// The row map behind the table latch.
+    rows: RwLock<RowMap>,
+    /// Table-latch acquisitions that found the latch held.
+    contentions: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
     resets: AtomicU64,
@@ -707,7 +629,6 @@ impl std::fmt::Debug for Lat {
         f.debug_struct("Lat")
             .field("name", &self.spec.name)
             .field("columns", &self.columns)
-            .field("shards", &self.shards.len())
             .field("rows", &self.row_count())
             .finish_non_exhaustive()
     }
@@ -746,7 +667,6 @@ impl Lat {
             .iter()
             .map(|a| a.source.as_ref().map(&resolve).transpose())
             .collect::<Result<_>>()?;
-        let n_shards = spec.shard_count();
         Ok(Lat {
             spec,
             clock,
@@ -754,8 +674,8 @@ impl Lat {
             ordering_idx,
             group_attr_idx,
             agg_attr_idx,
-            shards: (0..n_shards).map(|_| Shard::new()).collect(),
-            evict_lock: Mutex::new(()),
+            rows: RwLock::new(HashMap::new()),
+            contentions: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resets: AtomicU64::new(0),
@@ -769,40 +689,30 @@ impl Lat {
         self.columns.clone()
     }
 
-    /// Which shard owns a group key.
-    fn shard_of(&self, key: &[Value]) -> &Shard {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// Share the table latch, counting contention.
+    fn read(&self) -> RwLockReadGuard<'_, RowMap> {
+        self.rows.try_read().unwrap_or_else(|| {
+            self.contentions.fetch_add(1, Ordering::Relaxed);
+            self.rows.read()
+        })
     }
 
-    /// Number of row-map shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Take the table latch exclusively, counting contention.
+    fn write(&self) -> RwLockWriteGuard<'_, RowMap> {
+        self.rows.try_write().unwrap_or_else(|| {
+            self.contentions.fetch_add(1, Ordering::Relaxed);
+            self.rows.write()
+        })
     }
 
-    /// Total shard-lock contention events since creation (fast-path `try_*`
-    /// acquisitions that found the lock held and had to block).
+    /// Table-latch acquisitions since creation that found the latch held
+    /// (the fast-path `try_*` failed and the thread had to block).
     pub fn lock_contentions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.contentions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Per-shard occupancy and contention snapshot.
-    pub fn shard_stats(&self) -> Vec<LatShardStats> {
-        self.shards
-            .iter()
-            .map(|s| LatShardStats {
-                rows: s.read().len(),
-                contentions: s.contentions.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.contentions.load(Ordering::Relaxed)
     }
 
     pub fn row_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.read().len()
     }
 
     pub fn stats(&self) -> LatStats {
@@ -815,10 +725,9 @@ impl Lat {
         }
     }
 
-    /// Approximate bytes held (group keys + aggregate states), summed over the
-    /// per-shard accounts.
+    /// Approximate bytes held (group keys + aggregate states).
     pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
+        self.read().values().map(|r| r.lock().size_bytes()).sum()
     }
 
     /// Extract this LAT's grouping key from an object (`None` if the object
@@ -847,72 +756,52 @@ impl Lat {
                 obj.class, self.spec.name
             ))
         })?;
-        let shard = self.shard_of(&key);
-        // Fast path: existing group, shared shard lock + row latch. Probes
-        // touching different groups land on different shards and different row
-        // latches, so they never contend on an exclusive lock.
+        // Fast path: existing group, shared table latch + row latch. Probes
+        // touching different groups take different row latches, so they
+        // never contend on an exclusive lock.
         {
-            let rows = shard.read();
+            let rows = self.read();
             if let Some(row) = rows.get(&key) {
-                let mut row = row.lock();
-                self.update_row(&mut row, obj, now)?;
+                self.update_row(&mut row.lock(), obj, now)?;
                 self.inserts.fetch_add(1, Ordering::Relaxed);
                 return Ok(Vec::new());
             }
         }
-        // New group. On a bounded LAT the coordinator lock serializes map
-        // growth with two-phase eviction, so the occupancy bound holds at
-        // every quiescent point (row high-water never exceeds `max_rows`).
-        let bounded = self.spec.max_rows.is_some() || self.spec.max_bytes.is_some();
-        let _coord = if bounded {
-            Some(self.evict_lock.lock())
-        } else {
-            None
-        };
-        let created = {
-            let mut rows = shard.write();
-            match rows.entry(key) {
-                // Raced with another creator of the same group: fold in and
-                // return. Updating an existing group never evicts (§3.2.4's
-                // eviction event fires only when a row is truly discarded).
-                Entry::Occupied(e) => {
-                    let mut row = e.get().lock();
-                    self.update_row(&mut row, obj, now)?;
-                    false
-                }
-                Entry::Vacant(e) => {
-                    let mut row = LatRow {
-                        group: e.key().clone(),
-                        aggs: self
-                            .spec
-                            .aggregates
-                            .iter()
-                            .map(|a| match &a.aging {
-                                Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
-                                None => ColumnState::Plain(AggState::new(a.func)),
-                            })
-                            .collect(),
-                    };
-                    // Fold before publishing: a failed update leaves no row.
-                    self.update_row(&mut row, obj, now)?;
-                    e.insert(Arc::new(Mutex::new(row)));
-                    true
-                }
+        // New group: exclusive table latch. Nothing else holds a row latch
+        // while it is held, so rows are reached through `get_mut`.
+        let mut rows = self.write();
+        match rows.entry(key) {
+            // Raced with another creator of the same group: fold in and
+            // return. Updating an existing group never evicts (§3.2.4's
+            // eviction event fires only when a row is truly discarded).
+            Entry::Occupied(mut e) => {
+                self.update_row(e.get_mut().get_mut(), obj, now)?;
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                return Ok(Vec::new());
             }
-        };
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if !created {
-            return Ok(Vec::new());
+            Entry::Vacant(e) => {
+                let mut row = LatRow {
+                    group: e.key().clone(),
+                    aggs: self
+                        .spec
+                        .aggregates
+                        .iter()
+                        .map(|a| match &a.aging {
+                            Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
+                            None => ColumnState::Plain(AggState::new(a.func)),
+                        })
+                        .collect(),
+                };
+                // Fold before publishing: a failed update leaves no row.
+                self.update_row(&mut row, obj, now)?;
+                e.insert(Mutex::new(row));
+            }
         }
-        let evicted = if bounded {
-            self.enforce_size(now, want_evicted)
-        } else {
-            Vec::new()
-        };
-        // High water records post-enforcement occupancy; on a bounded LAT the
-        // coordinator lock is still held here, so the count is exact.
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        let evicted = self.enforce_size(&mut rows, now, want_evicted);
+        // High water records post-enforcement occupancy, read under the latch.
         self.row_high_water
-            .fetch_max(self.row_count() as u64, Ordering::Relaxed);
+            .fetch_max(rows.len() as u64, Ordering::Relaxed);
         Ok(evicted)
     }
 
@@ -935,57 +824,38 @@ impl Lat {
         Ok(())
     }
 
-    /// Two-phase global eviction while over the row/byte bound; returns
-    /// evicted output rows. Callers hold `evict_lock`, which serializes this
-    /// with other new-group inserts — at most one shard lock is held at any
-    /// instant, so probe fast paths on other shards keep flowing.
-    fn enforce_size(&self, now: Timestamp, want_evicted: bool) -> Vec<Vec<Value>> {
+    /// Evict while over the row/byte bound; returns evicted output rows.
+    /// Runs under the exclusive table latch of the insert that grew the map.
+    fn enforce_size(
+        &self,
+        rows: &mut RowMap,
+        now: Timestamp,
+        want_evicted: bool,
+    ) -> Vec<Vec<Value>> {
         let mut evicted = Vec::new();
         loop {
-            let total_rows = self.row_count();
-            let over_rows = self.spec.max_rows.is_some_and(|m| total_rows > m);
-            let over_bytes = self.spec.max_bytes.is_some_and(|m| self.memory_bytes() > m);
-            if !(over_rows || over_bytes) {
+            let over_rows = self.spec.max_rows.is_some_and(|m| rows.len() > m);
+            let over_bytes = self.spec.max_bytes.is_some_and(|m| bytes_of(rows) > m);
+            if !(over_rows || over_bytes) || rows.len() <= 1 {
+                // Never evict the last row — it is the one being inserted.
                 break;
             }
-            if total_rows <= 1 {
-                break; // never evict the last row — it is the one being inserted
-            }
-            // Phase 1: each shard nominates its local minimum under the
-            // ordering spec ("SQLCM automatically discards the row(s) …
-            // having smallest value of the ordering columns", §4.3; no
-            // ordering spec falls back to an arbitrary victim). Only the
+            // The victim is the global minimum under the ordering spec ("SQLCM
+            // automatically discards the row(s) … having smallest value of the
+            // ordering columns", §4.3; no ordering spec falls back to an
+            // arbitrary victim). It may be the row just inserted. Only the
             // ordering-column values are materialized for the scan.
-            let mut nominees = Vec::with_capacity(self.shards.len());
-            for (si, shard) in self.shards.iter().enumerate() {
-                let rows = shard.read();
-                if let Some((k, ok)) = rows
-                    .iter()
-                    .map(|(k, r)| (k, self.ordering_key(&r.lock(), now)))
-                    .min_by(|(_, a), (_, b)| self.cmp_ordering_keys(a, b))
-                    .map(|(k, ok)| (k.clone(), ok))
-                {
-                    nominees.push((si, k, ok));
-                }
+            let key = rows
+                .iter_mut()
+                .map(|(k, r)| (k, self.ordering_key(r.get_mut(), now)))
+                .min_by(|(_, a), (_, b)| self.cmp_ordering_keys(a, b))
+                .map(|(k, _)| k.clone())
+                .expect("a map of two or more rows has a minimum");
+            let row = rows.remove(&key).expect("victim is in the map");
+            if want_evicted {
+                evicted.push(row.into_inner().output(now));
             }
-            // Phase 2: the coordinator picks the globally worst nominee and
-            // removes it from its owning shard.
-            let victim = nominees
-                .into_iter()
-                .min_by(|(_, _, a), (_, _, b)| self.cmp_ordering_keys(a, b));
-            match victim {
-                Some((si, key, _)) => {
-                    // `remove` can miss if a concurrent `reset` cleared the
-                    // shard between phases; the loop re-checks the bound.
-                    if let Some(row) = self.shards[si].write().remove(&key) {
-                        if want_evicted {
-                            evicted.push(row.lock().output(now));
-                        }
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         evicted
     }
@@ -1036,7 +906,7 @@ impl Lat {
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
         let key = self.group_key_of(obj)?;
         let now = self.clock.now_micros();
-        let rows = self.shard_of(&key).read();
+        let rows = self.read();
         rows.get(&key).map(|r| r.lock().output(now))
     }
 
@@ -1047,34 +917,27 @@ impl Lat {
             .position(|c| c.eq_ignore_ascii_case(name))
     }
 
-    /// Materialize all rows (order unspecified). All shard read locks are
-    /// acquired (in index order) before any row is materialized, so the
-    /// snapshot is a consistent cross-shard view: no concurrent new-group
-    /// insert, eviction, or reset can interleave mid-iteration.
+    /// Materialize all rows (order unspecified). The table latch is held
+    /// throughout, so no concurrent new-group insert, eviction, or reset can
+    /// interleave mid-iteration.
     pub fn rows(&self) -> Vec<Vec<Value>> {
         let now = self.clock.now_micros();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        guards
-            .iter()
-            .flat_map(|g| g.values().map(|r| r.lock().output(now)))
-            .collect()
+        let rows = self.read();
+        rows.values().map(|r| r.lock().output(now)).collect()
     }
 
     /// Materialize all rows sorted by the ordering spec, most important first.
+    /// Rows the spec ranks equal are ordered by their group key, so the result
+    /// depends only on the table's contents, not on hash iteration order.
     pub fn rows_ordered(&self) -> Vec<Vec<Value>> {
         let mut rows = self.rows();
-        rows.sort_by(|a, b| self.cmp_importance(a, b).reverse());
+        rows.sort_by(|a, b| self.cmp_importance(a, b).reverse().then_with(|| a.cmp(b)));
         rows
     }
 
-    /// `Reset(LATName)`: clear contents and free memory. All shard write
-    /// locks are held (acquired in index order) before the first shard is
-    /// cleared, so observers never see a partially reset table.
+    /// `Reset(LATName)`: clear contents and free memory.
     pub fn reset(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for g in guards.iter_mut() {
-            g.clear();
-        }
+        self.write().clear();
         self.resets.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1105,15 +968,10 @@ impl Lat {
                 None => ColumnState::Plain(state),
             });
         }
-        {
-            let mut rows = self.shard_of(&key).write();
-            rows.insert(
-                key.clone(),
-                Arc::new(Mutex::new(LatRow { group: key, aggs })),
-            );
-        }
+        let mut rows = self.write();
+        rows.insert(key.clone(), Mutex::new(LatRow { group: key, aggs }));
         self.row_high_water
-            .fetch_max(self.row_count() as u64, Ordering::Relaxed);
+            .fetch_max(rows.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -1278,47 +1136,6 @@ mod tests {
         assert_eq!(evicted.len(), 1);
         assert_eq!(lat.stats().evictions, 1);
         assert_eq!(lat.row_count(), 2);
-    }
-
-    #[test]
-    fn shard_count_defaults_and_overrides() {
-        let (clock, _) = ManualClock::shared(0);
-        let base = || {
-            LatSpec::new("Sharded")
-                .group_by("Query.Logical_Signature", "Sig")
-                .aggregate(LatAggFunc::Count, "", "N")
-        };
-        let lat = Lat::new(base(), clock.clone()).unwrap();
-        assert_eq!(lat.shard_count(), DEFAULT_LAT_SHARDS);
-        let lat = Lat::new(base().shards(4), clock.clone()).unwrap();
-        assert_eq!(lat.shard_count(), 4);
-        assert_eq!(lat.shard_stats().len(), 4);
-        assert_eq!(lat.lock_contentions(), 0);
-        assert!(Lat::new(base().shards(0), clock.clone()).is_err());
-        assert!(Lat::new(base().shards(MAX_LAT_SHARDS + 1), clock).is_err());
-    }
-
-    #[test]
-    fn rows_spread_across_shards_and_single_shard_still_works() {
-        let (clock, _) = ManualClock::shared(0);
-        for n_shards in [1, 3, 16] {
-            let spec = LatSpec::new("Spread")
-                .group_by("Query.Logical_Signature", "Sig")
-                .aggregate(LatAggFunc::Count, "", "N")
-                .shards(n_shards);
-            let lat = Lat::new(spec, clock.clone()).unwrap();
-            for sig in 0..64 {
-                lat.insert(&qobj(sig, 1.0)).unwrap();
-            }
-            assert_eq!(lat.row_count(), 64);
-            assert_eq!(lat.rows().len(), 64);
-            let per_shard: usize = lat.shard_stats().iter().map(|s| s.rows).sum();
-            assert_eq!(per_shard, 64);
-            if n_shards > 1 {
-                let occupied = lat.shard_stats().iter().filter(|s| s.rows > 0).count();
-                assert!(occupied > 1, "hash should spread 64 groups over shards");
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Differential reference oracle for the sharded LAT (see [`crate::lat`]).
+//! Differential reference oracle for the LAT (see [`crate::lat`]).
 //!
 //! [`ReferenceLat`] is a *deliberately naive* re-implementation of the LAT
-//! semantics from the paper's §4.3: one global mutex, no sharding, no
+//! semantics from the paper's §4.3: one global mutex, no row latches, no
 //! incremental aggregate state. It keeps the **raw event log** per group —
 //! `(timestamp, per-aggregate source values)` — and recomputes every
 //! aggregate from scratch on observation. That makes it slow and obviously

@@ -71,7 +71,7 @@ pub use analysis::{Analyzer, Code, Diagnostic, Severity};
 pub use containment::{BreakerConfig, BreakerState, OverloadPolicy, OverloadStage};
 pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
 pub use fault::{FaultKind, FaultPlan, FaultRate};
-pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec, DEFAULT_LAT_SHARDS, MAX_LAT_SHARDS};
+pub use lat::{Lat, LatAggFunc, LatSpec};
 pub use lat_ref::ReferenceLat;
 pub use monitor::{Sqlcm, SqlcmStats};
 pub use objects::{ClassName, Object};

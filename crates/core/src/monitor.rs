@@ -162,6 +162,27 @@ thread_local! {
     static CASCADE_ORIGIN: Cell<(u32, u32)> = const { Cell::new((NONE_SPAN, 0)) };
 }
 
+/// Marks the thread as dispatching while alive. Dropping it — on return, or
+/// on unwind out of a panicking sink — clears the mark, the cascade origin
+/// and the queue of deferred events, so the thread's next event is evaluated
+/// rather than queued behind a dispatch that no longer runs.
+struct ProcessingGuard;
+
+impl ProcessingGuard {
+    fn enter() -> ProcessingGuard {
+        PROCESSING.with(|p| p.set(true));
+        ProcessingGuard
+    }
+}
+
+impl Drop for ProcessingGuard {
+    fn drop(&mut self) {
+        CASCADE_ORIGIN.with(|c| c.set((NONE_SPAN, 0)));
+        PENDING.with(|q| q.borrow_mut().clear());
+        PROCESSING.with(|p| p.set(false));
+    }
+}
+
 /// One deferred event awaiting the drain loop of [`SqlcmInner::dispatch_with`]:
 /// the deferred-side-effect semantics of §5, plus the causal-trace links.
 struct Queued {
@@ -457,7 +478,7 @@ impl SqlcmInner {
         objects: &[Object],
         trace: &mut Option<TraceCtx>,
     ) {
-        PROCESSING.with(|p| p.set(true));
+        let _processing = ProcessingGuard::enter();
         self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0);
         loop {
             let next = PENDING.with(|q| q.borrow_mut().pop_front());
@@ -466,7 +487,6 @@ impl SqlcmInner {
                 None => break,
             }
         }
-        PROCESSING.with(|p| p.set(false));
     }
 
     /// Evaluate every rule subscribed to this event, in registration order.
@@ -1671,7 +1691,6 @@ impl SqlcmInner {
                     rows: lat.row_count() as u64,
                     row_high_water: stats.row_high_water,
                     memory_bytes: lat.memory_bytes() as u64,
-                    shards: lat.shard_count() as u64,
                     lock_contentions: lat.lock_contentions(),
                 }
             })
@@ -2024,7 +2043,7 @@ impl Sqlcm {
         let effects = Arc::new(analyzer.effects_of(&ir));
         let (cond_classes, cond_lats) = rule.condition_refs()?;
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let compiled = {
+        let (compiled, compiled_actions, cond_lat_columns) = {
             let lats = self.inner.lats_read();
             for l in &cond_lats {
                 if !lats.contains_key(&l.to_ascii_lowercase()) {
@@ -2092,9 +2111,9 @@ impl Sqlcm {
                     })
                 })
                 .collect::<Result<Vec<_>>>()?;
-            (compiled_cond, compiled_actions)
+            let cond_lat_columns: Vec<_> = cond_lats_lc.iter().map(|l| lats[l].columns()).collect();
+            (compiled_cond, compiled_actions, cond_lat_columns)
         };
-        let (compiled, compiled_actions) = compiled;
         let mut rules = self.inner.rules_write();
         if rules.iter().any(|r| r.rule.name == rule.name) {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
@@ -2106,6 +2125,7 @@ impl Sqlcm {
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,
+            cond_lat_columns,
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: Some(effects),

@@ -67,6 +67,9 @@ pub(crate) struct Registered {
     /// LAT names the condition references (lowercased, in first-reference
     /// order — the order `crate::ir::ROp::LatCol::lat_idx` indexes).
     pub cond_lats: Vec<String>,
+    /// Output columns of each `cond_lats` entry at registration, which the
+    /// compiled condition's column indexes point into.
+    pub cond_lat_columns: Vec<Arc<[String]>>,
     /// Condition-evaluation wall time, nanoseconds (telemetry).
     pub cond_latency: LatencyHistogram,
     /// Action-execution wall time per firing, nanoseconds (telemetry).
@@ -430,24 +433,29 @@ impl DispatchPlan {
         hoisted: &mut Vec<HoistSlot>,
     ) -> PlanRule {
         let mut resolved = Vec::with_capacity(reg.cond_lats.len());
-        for name in &reg.cond_lats {
-            match lats.get(name) {
-                Some(lat) => resolved.push(lat.clone()),
-                None => {
-                    return PlanRule {
-                        low_priority: reg.rule.is_low_priority(),
-                        reg: reg.clone(),
-                        lats: Vec::new(),
-                        lat_slots: Vec::new(),
-                        invalidates: Vec::new(),
-                        program: None,
-                        broken: Some(format!(
-                            "rule {} references unknown LAT {name}",
-                            reg.rule.name
-                        )),
-                    };
+        for (name, columns) in reg.cond_lats.iter().zip(&reg.cond_lat_columns) {
+            let broken = match lats.get(name) {
+                Some(lat) if lat.columns() == *columns => {
+                    resolved.push(lat.clone());
+                    continue;
                 }
-            }
+                // Redefined with other columns: the compiled column indexes
+                // no longer point at the columns the condition names.
+                Some(_) => format!(
+                    "rule {} reads LAT {name}, whose columns changed since the rule was registered",
+                    reg.rule.name
+                ),
+                None => format!("rule {} references unknown LAT {name}", reg.rule.name),
+            };
+            return PlanRule {
+                low_priority: reg.rule.is_low_priority(),
+                reg: reg.clone(),
+                lats: Vec::new(),
+                lat_slots: Vec::new(),
+                invalidates: Vec::new(),
+                program: None,
+                broken: Some(broken),
+            };
         }
         let mut lat_slots = Vec::with_capacity(resolved.len());
         for (name, lat) in reg.cond_lats.iter().zip(&resolved) {
@@ -902,6 +910,7 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
+            cond_lat_columns: cond_lats.iter().map(|_| test_lat("L").columns()).collect(),
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: None,
@@ -968,6 +977,7 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
+            cond_lat_columns: cond_lats.iter().map(|_| test_lat("L").columns()).collect(),
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: None,

@@ -276,10 +276,7 @@ pub struct LatTelemetry {
     pub row_high_water: u64,
     /// Approximate bytes held right now.
     pub memory_bytes: u64,
-    /// Number of row-map shards.
-    pub shards: u64,
-    /// Shard-lock acquisitions that found the lock held (contention events
-    /// summed over all shards).
+    /// Table-latch acquisitions that found the latch held.
     pub lock_contentions: u64,
 }
 
@@ -496,7 +493,7 @@ impl TelemetrySnapshot {
         for l in &self.lats {
             let _ = writeln!(
                 out,
-                "  {:<22} inserts={:<8} evictions={:<6} resets={:<4} aging_rolls={:<6} rows={}/{} bytes={} shards={} contentions={}",
+                "  {:<22} inserts={:<8} evictions={:<6} resets={:<4} aging_rolls={:<6} rows={}/{} bytes={} contentions={}",
                 l.name,
                 l.inserts,
                 l.evictions,
@@ -505,7 +502,6 @@ impl TelemetrySnapshot {
                 l.rows,
                 l.row_high_water,
                 l.memory_bytes,
-                l.shards,
                 l.lock_contentions,
             );
         }
@@ -666,7 +662,7 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":{},\"inserts\":{},\"evictions\":{},\"resets\":{},\"aging_rolls\":{},\"rows\":{},\"row_high_water\":{},\"memory_bytes\":{},\"shards\":{},\"lock_contentions\":{}}}",
+                "{{\"name\":{},\"inserts\":{},\"evictions\":{},\"resets\":{},\"aging_rolls\":{},\"rows\":{},\"row_high_water\":{},\"memory_bytes\":{},\"lock_contentions\":{}}}",
                 json_str(&l.name),
                 l.inserts,
                 l.evictions,
@@ -675,7 +671,6 @@ impl TelemetrySnapshot {
                 l.rows,
                 l.row_high_water,
                 l.memory_bytes,
-                l.shards,
                 l.lock_contentions
             ));
         }

@@ -4,11 +4,13 @@
 //! `set_enabled` semantics, and shared LAT-lookup hoisting must cap row
 //! fetches per event.
 //!
-//! Allocation counting uses a wrapping `#[global_allocator]`, so this file is
-//! its own test binary — the counter only observes this process.
+//! Allocation counting uses a wrapping `#[global_allocator]` that bumps a
+//! thread-local counter, so each test reads only the allocations of its own
+//! thread (the one dispatching the events), even when the harness runs the
+//! tests in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, QueryInfo};
@@ -16,14 +18,28 @@ use sqlcm_core::sinks::CommandSink;
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm, TraceSampling};
 use sqlcm_engine::Engine;
 
-/// Counts allocations made by this test binary.
+/// Counts allocations per thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and without
+    /// a destructor, so the allocator can bump it without allocating and at
+    /// any point of the thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -32,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,11 +86,11 @@ fn unsubscribed_event_takes_no_locks_and_allocates_nothing() {
     }
 
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -112,11 +128,11 @@ fn subscribed_nonfiring_dispatch_allocates_nothing() {
 
     let before = sqlcm.telemetry().dispatch;
     let evals_before = sqlcm.rule("slow").unwrap().stats().evaluations;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -163,11 +179,11 @@ fn tracing_disabled_dispatch_stays_allocation_and_lock_free() {
         sqlcm.inject_event(&ev);
     }
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -220,12 +236,12 @@ fn guard_indexed_dispatch_allocates_nothing_and_prunes() {
     }
 
     let before = sqlcm.telemetry();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     let events = 1_000u64;
     for _ in 0..events {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry();
 
     assert_eq!(
@@ -436,12 +452,12 @@ fn vm_dispatch_with_like_in_and_cse_allocates_nothing() {
     }
 
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     let events = 1_000u64;
     for _ in 0..events {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(

@@ -3,8 +3,11 @@
 
 use sqlcm_common::{ManualClock, QueryInfo, Value};
 use sqlcm_core::objects::query_object;
+use sqlcm_core::sinks::CommandSink;
 use sqlcm_core::{Action, Lat, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
 use sqlcm_engine::Engine;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn qobj(sig: u64, secs: f64) -> sqlcm_core::Object {
@@ -254,4 +257,46 @@ fn timer_storm_coalesces() {
     sqlcm.poll_timers();
     let n = sqlcm.outbox().len();
     assert!(n <= 3, "coalesced, got {n}");
+}
+
+/// A command sink whose first call panics.
+#[derive(Default)]
+struct PanicOnceSink {
+    panicked: AtomicBool,
+}
+
+impl CommandSink for PanicOnceSink {
+    fn run(&self, _command: &str) {
+        if !self.panicked.swap(true, Ordering::SeqCst) {
+            panic!("command sink failure");
+        }
+    }
+}
+
+#[test]
+fn panicking_sink_does_not_wedge_the_thread() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .add_rule(
+            Rule::new("r")
+                .on(RuleEvent::QueryCommit)
+                .then(Action::run_external("page dba")),
+        )
+        .unwrap();
+    sqlcm.set_command_sink(Arc::new(PanicOnceSink::default()));
+    let mut q = QueryInfo::synthetic(1, "SELECT 1");
+    q.logical_signature = Some(1);
+    let ev = sqlcm_common::EngineEvent::QueryCommit(q);
+
+    let caught = catch_unwind(AssertUnwindSafe(|| sqlcm.inject_event(&ev)));
+    assert!(caught.is_err(), "the sink's panic reaches the caller");
+    let rule = sqlcm.rule("r").unwrap();
+    let evaluations = rule.stats().evaluations;
+
+    // The next event on this same thread must be evaluated, not queued
+    // behind the dispatch the panic abandoned.
+    sqlcm.inject_event(&ev);
+    assert_eq!(rule.stats().evaluations, evaluations + 1);
+    assert_eq!(rule.stats().fires, 2);
 }

@@ -1,4 +1,4 @@
-//! Differential tests: the sharded `Lat` against the naive single-lock
+//! Differential tests: the production `Lat` against the naive single-lock
 //! `ReferenceLat` oracle (see `sqlcm_core::lat_ref`).
 //!
 //! Randomized operation sequences — insert, evict-pressure (via row bounds),
@@ -38,7 +38,7 @@ const BLOCK: u64 = 100;
 
 /// The all-aggregates differential spec: every aggregate kind, plus aging
 /// AVG/COUNT columns rolling on the manual clock.
-fn diff_spec(shards: usize, max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
+fn diff_spec(max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
     let columns = ["Sig", "N", "S", "A", "SD", "MN", "MX", "F", "L", "AW", "NW"];
     let mut spec = LatSpec::new("Diff")
         .group_by("Query.Logical_Signature", "Sig")
@@ -54,8 +54,7 @@ fn diff_spec(shards: usize, max_rows: Option<usize>, order_col: usize, desc: boo
         .aging(WINDOW, BLOCK)
         .aggregate(LatAggFunc::Count, "", "NW")
         .aging(WINDOW, BLOCK)
-        .order_by(columns[order_col % columns.len()], desc)
-        .shards(shards);
+        .order_by(columns[order_col % columns.len()], desc);
     if let Some(m) = max_rows {
         spec = spec.max_rows(m);
     }
@@ -93,19 +92,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The headline differential: randomized op sequences produce identical
-    /// observable state in the sharded table and the oracle. Eviction victims
+    /// observable state in the production table and the oracle. Eviction victims
     /// are validated inside `insert_matching` (global minimum under the
     /// ordering spec, output row recomputed from the raw log).
     #[test]
-    fn sharded_lat_matches_reference_oracle(
-        shards in 1usize..8,
+    fn lat_matches_reference_oracle(
         max_rows in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         order_col in 0usize..11,
         desc in any::<bool>(),
         ops in collection::vec(op_strategy(), 1..48),
     ) {
         let (clock, handle) = ManualClock::shared(0);
-        let spec = diff_spec(shards, max_rows, order_col, desc);
+        let spec = diff_spec(max_rows, order_col, desc);
         let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
         let oracle = ReferenceLat::new(spec, clock).unwrap();
         for op in &ops {
@@ -174,7 +172,7 @@ proptest! {
                     if aging {
                         spec = spec.aging(WINDOW, BLOCK);
                     }
-                    let spec = spec.order_by("K", desc).max_rows(3).shards(4);
+                    let spec = spec.order_by("K", desc).max_rows(3);
                     let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
                     let oracle = ReferenceLat::new(spec, clock).unwrap();
                     for (sig, dur, advance) in &seq {
@@ -196,7 +194,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite: a moving-window AVG/STDEV over the sharded LAT equals a
+    /// Satellite: a moving-window AVG/STDEV over the LAT equals a
     /// recomputation from the raw event log, within one block of slack at the
     /// window boundary. The inclusion unit is the Δ-aligned block (§4.3), so
     /// the value must (a) exactly equal the block-rule recomputation and
@@ -211,8 +209,7 @@ proptest! {
             .aggregate(LatAggFunc::Avg, "Query.Duration", "AW")
             .aging(WINDOW, BLOCK)
             .aggregate(LatAggFunc::StdDev, "Query.Duration", "SW")
-            .aging(WINDOW, BLOCK)
-            .shards(4);
+            .aging(WINDOW, BLOCK);
         let lat = Lat::new(spec, clock.clone()).unwrap();
         let mut raw_log: Vec<(u64, f64)> = Vec::new();
         for (dur, advance) in &steps {
@@ -256,7 +253,7 @@ proptest! {
 /// FIRST/LAST (order-dependent), no aging (time-dependent), integer-valued
 /// inputs (exact f64) — so the final state is independent of interleaving
 /// and any logged schedule is a valid linearization.
-fn mt_spec(shards: usize) -> LatSpec {
+fn mt_spec() -> LatSpec {
     LatSpec::new("MtDiff")
         .group_by("Query.Logical_Signature", "Sig")
         .aggregate(LatAggFunc::Count, "", "N")
@@ -265,23 +262,21 @@ fn mt_spec(shards: usize) -> LatSpec {
         .aggregate(LatAggFunc::StdDev, "Query.Duration", "SD")
         .aggregate(LatAggFunc::Min, "Query.Duration", "MN")
         .aggregate(LatAggFunc::Max, "Query.Duration", "MX")
-        .shards(shards)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Logged-schedule multi-threaded differential: 4 threads insert
-    /// concurrently into the sharded table, stamping every insert with a
+    /// concurrently into the production table, stamping every insert with a
     /// global sequence number; the log, replayed in sequence order into the
     /// single-lock oracle, must produce identical observable state.
     #[test]
     fn concurrent_inserts_match_reference_via_logged_schedule(
-        shards in 1usize..8,
         per_thread in collection::vec(collection::vec((0i64..12, 0u64..9), 16..17), 4..5),
     ) {
         let (clock, _handle) = ManualClock::shared(0);
-        let lat = Arc::new(Lat::new(mt_spec(shards), clock.clone()).unwrap());
+        let lat = Arc::new(Lat::new(mt_spec(), clock.clone()).unwrap());
         let seq = AtomicU64::new(0);
         let mut schedule: Vec<(u64, i64, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = per_thread
@@ -304,7 +299,7 @@ proptest! {
         });
         schedule.sort_by_key(|(s, _, _)| *s);
 
-        let oracle = ReferenceLat::new(mt_spec(shards), clock).unwrap();
+        let oracle = ReferenceLat::new(mt_spec(), clock).unwrap();
         for (_, sig, dur) in &schedule {
             oracle.insert(&qobj(*sig, *dur)).unwrap();
         }

@@ -182,7 +182,7 @@ impl BufferPool {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let idx = match meta.free.pop() {
             Some(idx) => idx,
-            None => self.evict_locked(&mut meta)?,
+            None => self.evict_lru(&mut meta)?,
         };
         // Fault the page in while holding the meta lock. This serializes faults,
         // which is acceptable: the experiment workloads are sized so their hot set
@@ -210,7 +210,7 @@ impl BufferPool {
 
     /// Choose the least-recently-used unpinned frame, write it back if dirty, and
     /// return it. Caller holds the meta lock.
-    fn evict_locked(&self, meta: &mut Meta) -> Result<usize> {
+    fn evict_lru(&self, meta: &mut Meta) -> Result<usize> {
         let victim = meta
             .frame_info
             .iter()

@@ -65,22 +65,6 @@ fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
             .group_by("Query.Logical_Signatur", "Sig")
             .aggregate(LatAggFunc::Count, "", "N"),
     );
-    // E005: shard count outside the supported range.
-    lats.push(
-        LatSpec::new("Oversharded_LAT")
-            .group_by("Query.Logical_Signature", "Sig")
-            .aggregate(LatAggFunc::Count, "", "N")
-            .shards(0),
-    );
-    // W202: more shards than the LAT can ever hold rows.
-    lats.push(
-        LatSpec::new("Tiny_LAT")
-            .group_by("Query.Logical_Signature", "Sig")
-            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
-            .order_by("D", true)
-            .max_rows(4)
-            .shards(16),
-    );
     // W203: defined and read below, but never fed by any Insert.
     lats.push(
         LatSpec::new("Idle_LAT")

@@ -166,8 +166,8 @@ fn monitor_counts_are_exact_under_concurrency() {
     );
 }
 
-/// Stress: 8 threads × 10k events over overlapping keys into a bounded,
-/// sharded LAT. COUNT is conserved — every delivered event is counted exactly
+/// Stress: 8 threads × 10k events over overlapping keys into a bounded
+/// LAT. COUNT is conserved — every delivered event is counted exactly
 /// once, either in an evicted row snapshot or in a surviving row — the row
 /// high-water mark never exceeds the size bound, and the insert counter
 /// matches the events delivered.
